@@ -51,9 +51,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.workload import WorkloadSpec, formula_for, generate_workload
+from repro.encoding import verdict_enumerator
 from repro.monitor.online import OnlineMonitor
 from repro.monitor.smt_monitor import SmtMonitor
 from repro.parallel import ParallelMonitor
+from repro.progression.progressor import ObjectSegmentProgressor
 from repro.service import MonitorService
 from repro.transport.frames import Request, decode_frame, encode_frame
 
@@ -125,11 +127,13 @@ def bench_carried(mode: str) -> dict:
 def bench_carried_columnar(mode: str) -> dict:
     """The carried workload under both progression engines, same process.
 
-    Times the legacy object walk (``REPRO_COLUMNAR=0``) and the columnar
-    kernel on the identical computation/formula, asserts bit-identical
-    verdict multisets, and reports the in-run speedup.  ``seconds`` is
-    the columnar time (so the absolute baseline tracks the shipping
-    path); the relative gate in ``check_against`` uses ``speedup``.
+    Times the object-walk oracle
+    (:class:`~repro.progression.progressor.ObjectSegmentProgressor`,
+    swapped in for the kernel) and the columnar kernel on the identical
+    computation/formula, asserts bit-identical verdict multisets, and
+    reports the in-run speedup.  ``seconds`` is the columnar time (so the
+    absolute baseline tracks the shipping path); the relative gate in
+    ``check_against`` uses ``speedup``.
     """
     computation = generate_workload(WORKLOAD)
     formula = formula_for(PHI, WORKLOAD.processes, window_ms=WINDOW_MS)
@@ -144,17 +148,22 @@ def bench_carried_columnar(mode: str) -> dict:
         seconds, result = _timed(lambda: engine.run(computation))
         return seconds, {str(k): v for k, v in sorted(result.verdict_counts.items())}
 
-    previous = os.environ.get("REPRO_COLUMNAR")
+    oracle_calls = [0]
+
+    class Oracle(ObjectSegmentProgressor):
+        def progress_trace(self, *args, **kwargs):
+            oracle_calls[0] += 1
+            return super().progress_trace(*args, **kwargs)
+
+    kernel = verdict_enumerator.ColumnarSegmentProgressor
+    verdict_enumerator.ColumnarSegmentProgressor = Oracle
     try:
-        os.environ["REPRO_COLUMNAR"] = "0"
         object_seconds, object_counts = run_once()
-        os.environ["REPRO_COLUMNAR"] = "1"
-        columnar_seconds, columnar_counts = run_once()
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = previous
+        verdict_enumerator.ColumnarSegmentProgressor = kernel
+    if not oracle_calls[0]:
+        raise SystemExit("the object-walk oracle never ran: the speedup is vacuous")
+    columnar_seconds, columnar_counts = run_once()
     if columnar_counts != object_counts:
         raise SystemExit(
             f"columnar verdicts {columnar_counts} diverge from object path "

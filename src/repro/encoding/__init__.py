@@ -3,11 +3,7 @@
 from repro.encoding.cut_encoder import encode_segment, timestamp_domain
 from repro.encoding.enumerator import count_traces, enumerate_traces
 from repro.encoding.trace_extractor import build_trace, model_to_trace
-from repro.encoding.verdict_enumerator import (
-    SegmentOutcome,
-    enumerate_segment_outcomes,
-    stream_segment_outcomes,
-)
+from repro.encoding.verdict_enumerator import SegmentOutcome, enumerate_segment_outcomes
 
 __all__ = [
     "SegmentOutcome",
@@ -17,6 +13,5 @@ __all__ = [
     "enumerate_segment_outcomes",
     "enumerate_traces",
     "model_to_trace",
-    "stream_segment_outcomes",
     "timestamp_domain",
 ]

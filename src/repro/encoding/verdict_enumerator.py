@@ -7,33 +7,28 @@ with previous verdicts blocked (Section VI-A's "number of truth values
 per segment" parameter, Fig 5e): ``max_distinct`` stops the enumeration
 as soon as that many distinct outcomes exist.
 
-The pipeline is *streaming*: :func:`stream_segment_outcomes` pulls one
-trace at a time from the (lazy) enumerator and progresses every carried
-residual over it before the next trace is produced, yielding the running
-:class:`SegmentOutcome` after each trace.  Memory stays bounded by the
-carried-residual set (plus the shared trace cache when enabled), early
-truncation (``max_distinct``, verdict saturation) stops the underlying
-enumeration mid-stream, and incremental consumers — the segment-parallel
-orchestrator watching for the carried set to cross its shard threshold —
-can act on partial outcomes without waiting for the segment to drain.
-:func:`enumerate_segment_outcomes` is the drain-it-all wrapper.
+The pipeline is *streaming*: :func:`enumerate_segment_outcomes` pulls
+one trace at a time from the (lazy) enumerator and progresses every
+carried residual over it before the next trace is produced.  Memory stays
+bounded by the carried-residual set (plus the shared trace cache when
+enabled), and early truncation (``max_distinct``, verdict saturation)
+stops the underlying enumeration mid-stream.
 
-Hot-path notes: the inner loop is *columnar* — carried residuals live as
-``(arena id, count)`` pairs and every trace is progressed by one batch
-pass of :class:`~repro.progression.columnar.ColumnarSegmentProgressor`
-over the intern arena, touching no Formula objects at all.  Setting
-``REPRO_COLUMNAR=0`` in the environment selects the legacy object path
-(a :class:`~repro.progression.progressor.TraceProgressor` walk per
-trace); the differential suite runs both and asserts bit-identical
-residuals.  :class:`SegmentOutcome` stores ids internally and
-materializes the ``residuals`` dict lazily at the API boundary.
+Hot path: carried residuals live as ``(arena id, count)`` pairs and every
+trace is progressed by one batch pass of
+:class:`~repro.progression.columnar.ColumnarSegmentProgressor` over the
+intern arena, touching no Formula objects at all.  The object walk
+(:class:`~repro.progression.progressor.ObjectSegmentProgressor`) is the
+differential oracle: tests and benchmarks substitute it for the kernel
+and assert bit-identical residuals.  :class:`SegmentOutcome` stores ids
+internally and materializes the ``residuals`` dict lazily at the API
+boundary.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from repro.distributed.hb import HappenedBefore, HappenedBeforeView
 from repro.encoding.enumerator import enumerate_traces, root_frontier
@@ -46,7 +41,7 @@ from repro.progression.columnar import (
     pack_carried_column,
     unpack_carried_column,
 )
-from repro.progression.progressor import TraceProgressor, anchor_shift, close_id
+from repro.progression.progressor import close_id
 
 #: Default per-segment trace budget for the online/offline monitors.
 #: Admissible-trace counts explode combinatorially with segment length
@@ -59,11 +54,6 @@ from repro.progression.progressor import TraceProgressor, anchor_shift, close_id
 DEFAULT_TRACE_BUDGET = 20_000
 
 
-def _columnar_enabled() -> bool:
-    """True unless the environment opts out (``REPRO_COLUMNAR=0``)."""
-    return os.environ.get("REPRO_COLUMNAR", "1") != "0"
-
-
 class SegmentOutcome:
     """Distinct residual formulas after one segment, with class counts.
 
@@ -72,6 +62,8 @@ class SegmentOutcome:
     :class:`~repro.mtl.ast.Formula` objects is materialized lazily and
     cached, so boundary consumers (shard split, snapshots, reports) see
     the same contract as before while the hot loop never boxes ids.
+    Outcomes are process-local: a column that crosses a process boundary
+    goes as :func:`~repro.progression.columnar.pack_carried_column`.
     """
 
     __slots__ = (
@@ -83,29 +75,19 @@ class SegmentOutcome:
         "preempted",
     )
 
-    def __init__(
-        self,
-        residuals: Mapping[Formula, int] | None = None,
-        traces_enumerated: int = 0,
-        truncated: bool = False,
-        saturated: bool = False,
-        preempted: bool = False,
-    ) -> None:
+    def __init__(self) -> None:
         self._id_counts: dict[int, int] = {}
         self._residuals_cache: dict[Formula, int] | None = None
-        self.traces_enumerated = traces_enumerated
-        self.truncated = truncated
+        self.traces_enumerated = 0
+        self.truncated = False
         #: True when enumeration stopped because the *final verdict set*
         #: was already saturated ({True, False}) — lossless for the
         #: verdict set.
-        self.saturated = saturated
+        self.saturated = False
         #: True when the execution budget preempted enumeration (cancel
         #: or deadline) — the counts are partial *and* the stop was not
         #: requested by the trace budget; distinct from ``truncated``.
-        self.preempted = preempted
-        if residuals:
-            for residual, count in residuals.items():
-                self.add(residual, count)
+        self.preempted = False
 
     @property
     def residuals(self) -> dict[Formula, int]:
@@ -127,37 +109,10 @@ class SegmentOutcome:
         """The residual column itself: arena id -> trace-class count."""
         return self._id_counts
 
-    def add(self, residual: Formula, count: int = 1) -> None:
-        self.add_id(intern_formula(residual)._intern_id, count)
-
     def add_id(self, fid: int, count: int = 1) -> None:
         counts = self._id_counts
         counts[fid] = counts.get(fid, 0) + count
         self._residuals_cache = None
-
-    def __reduce__(self):
-        # Arena ids are process-local; a pickled outcome crosses the wire
-        # as materialized formulas and re-interns on arrival.
-        return (
-            _restore_outcome,
-            (
-                dict(self.residuals),
-                self.traces_enumerated,
-                self.truncated,
-                self.saturated,
-                self.preempted,
-            ),
-        )
-
-
-def _restore_outcome(
-    residuals: dict,
-    traces_enumerated: int,
-    truncated: bool,
-    saturated: bool,
-    preempted: bool = False,
-) -> SegmentOutcome:
-    return SegmentOutcome(residuals, traces_enumerated, truncated, saturated, preempted)
 
 
 def _carried_pairs(
@@ -180,7 +135,7 @@ def _carried_pairs(
     return list(merged.items())
 
 
-def stream_segment_outcomes(
+def enumerate_segment_outcomes(
     hb: HappenedBefore | HappenedBeforeView,
     epsilon: int,
     carried: Mapping[Formula, int] | Sequence[tuple[int, int]],
@@ -198,16 +153,12 @@ def stream_segment_outcomes(
     cache_key: Hashable | None = None,
     budget: Budget | None = None,
     root_branches: Sequence[tuple[int, int]] | None = None,
-) -> Iterator[SegmentOutcome]:
-    """Progress every carried residual over the segment's traces, lazily.
+) -> SegmentOutcome:
+    """Progress every carried residual over the segment's traces.
 
-    Yields the running :class:`SegmentOutcome` (one mutating instance)
-    after each progressed trace, and once more after enumeration ends
-    with the truncation flags settled — so ``for outcome in ...: pass``
-    leaves ``outcome`` equal to the drained result.  Traces are pulled
-    from the enumerator one at a time; stopping early (truncation,
-    saturation, or the consumer abandoning the generator) stops the
-    enumeration itself.
+    Traces are pulled from the lazy enumerator one at a time and every
+    carried residual is progressed over each before the next is built;
+    stopping early (truncation, saturation) stops the enumeration itself.
 
     ``carried`` maps residual formulas (anchored at ``anchor``; None means
     "anchored at the first observation", i.e. the initial formula) to the
@@ -227,10 +178,9 @@ def stream_segment_outcomes(
     clamps, backend, limit, valuation context).
 
     ``budget``, when given, is checkpointed throughout enumeration and
-    progression; tripping it (cancel flag, deadline) stops the stream
-    with ``outcome.preempted = True`` instead of propagating — the final
-    yield still happens, with partial counts.  Its trace-limit facet
-    supplies ``max_traces`` when the keyword is omitted.
+    progression; tripping it (cancel flag, deadline) returns the partial
+    outcome with ``preempted = True`` instead of propagating.  Its
+    trace-limit facet supplies ``max_traces`` when the keyword is omitted.
     ``root_branches`` restricts the DFS to the given root choices (see
     :func:`~repro.encoding.enumerator.root_frontier`).
     """
@@ -238,9 +188,6 @@ def stream_segment_outcomes(
         max_traces = budget.trace_limit()
     outcome = SegmentOutcome()
     closed_verdicts: set[bool] = set()
-    # Interned carried residuals: structurally equal residuals collapse
-    # to one (id, count) column entry up front.
-    pairs = _carried_pairs(carried)
 
     def traces():
         return enumerate_traces(
@@ -258,42 +205,20 @@ def stream_segment_outcomes(
         )
 
     trace_iter = traces() if cache_key is None else shared_traces(cache_key, traces)
-    columnar = _columnar_enabled()
-    kernel = ColumnarSegmentProgressor(pairs) if columnar else None
-    # Legacy path: one anchor-shift per distinct trace start time, not
-    # per (trace, residual) — traces share a handful of start times.
-    shifted_by_shift: dict[int, list[tuple[Formula, int]]] = {}
+    # Interned carried residuals: structurally equal residuals collapse
+    # to one (id, count) column entry up front.
+    kernel = ColumnarSegmentProgressor(_carried_pairs(carried))
     id_counts = outcome.id_counts()
     try:
         for trace in trace_iter:
             outcome.traces_enumerated += 1
             shift = 0 if anchor is None else trace.start_time - anchor
-            if columnar:
-                progressed_pairs = kernel.progress_trace(
-                    trace, shift, max(boundary, trace.end_time), budget=budget
-                )
-                for fid, count in progressed_pairs:
-                    if saturate_final and fid not in id_counts:
-                        closed_verdicts.add(close_id(fid))
-                    outcome.add_id(fid, count)
-            else:
-                shifted = shifted_by_shift.get(shift)
-                if shifted is None:
-                    shifted = [
-                        (anchor_shift(formula_of(fid), shift), count)
-                        for fid, count in pairs
-                    ]
-                    shifted_by_shift[shift] = shifted
-                progressor = TraceProgressor(
-                    trace, max(boundary, trace.end_time), budget=budget
-                )
-                for formula, count in shifted:
-                    progressed = progressor.progress(formula, 0)
-                    fid = progressed._intern_id
-                    if saturate_final and fid not in id_counts:
-                        closed_verdicts.add(close_id(fid))
-                    outcome.add_id(fid, count)
-            yield outcome
+            for fid, count in kernel.progress_trace(
+                trace, shift, max(boundary, trace.end_time), budget=budget
+            ):
+                if saturate_final and fid not in id_counts:
+                    closed_verdicts.add(close_id(fid))
+                outcome.add_id(fid, count)
             if saturate_final and closed_verdicts >= {True, False}:
                 outcome.saturated = True
                 break
@@ -302,29 +227,12 @@ def stream_segment_outcomes(
                 break
     except PreemptedError:
         # Cooperative unwind: surface the partial outcome flagged
-        # PREEMPTED instead of propagating — callers choose whether to
-        # abort (OnlineMonitor rolls back) or report (SmtMonitor).
+        # PREEMPTED instead of propagating — the segment fold raises
+        # before recording anything, the partitioned merge reports it.
         outcome.preempted = True
     else:
         if max_traces is not None and outcome.traces_enumerated >= max_traces:
             outcome.truncated = True
-    yield outcome
-
-
-def enumerate_segment_outcomes(
-    hb: HappenedBefore | HappenedBeforeView,
-    epsilon: int,
-    carried: Mapping[Formula, int],
-    anchor: int | None,
-    boundary: int,
-    **kwargs,
-) -> SegmentOutcome:
-    """Drain :func:`stream_segment_outcomes` and return the final outcome."""
-    outcome = SegmentOutcome()
-    for outcome in stream_segment_outcomes(
-        hb, epsilon, carried, anchor, boundary, **kwargs
-    ):
-        pass
     return outcome
 
 
@@ -360,7 +268,7 @@ def partitioned_segment_outcomes(
     frontier_props: Mapping[str, frozenset[str]] | None = None,
     timestamp_samples: int | None = None,
     budget: Budget | None = None,
-) -> SegmentOutcome:
+) -> SegmentOutcome | None:
     """Enumerate one segment with its root frontier fanned across workers.
 
     The DFS tree splits at the root: each ``(event, timestamp)`` first
@@ -376,8 +284,9 @@ def partitioned_segment_outcomes(
     ``MonitorService.submit_segment_part`` surface.  The carried column
     crosses the wire in its packed form (see
     :func:`~repro.progression.columnar.pack_carried_column`): sliced, not
-    materialized.  Falls back to the serial walk when the frontier or
-    ``parts`` is too small to split, or the backend is not the DFS.
+    materialized.  Returns None, for the caller to enumerate serially,
+    when the frontier or ``parts`` is too small to split, or the backend
+    is not the DFS.
 
     Preemption propagates: tripping ``budget`` while waiting cancels
     every in-flight sub-task (the service drops pending parts and
@@ -393,21 +302,7 @@ def partitioned_segment_outcomes(
         else []
     )
     if parts < 2 or len(branches) < 2:
-        return enumerate_segment_outcomes(
-            hb,
-            epsilon,
-            carried,
-            anchor,
-            boundary,
-            clamp_lo=clamp_lo,
-            clamp_hi=clamp_hi,
-            max_traces=max_traces,
-            backend=backend,
-            base_valuation=base_valuation,
-            frontier_props=frontier_props,
-            timestamp_samples=timestamp_samples,
-            budget=budget,
-        )
+        return None
 
     from repro.service.tasks import SegmentPartTask  # cycle: tasks -> monitor -> here
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.distributed.computation import DistributedComputation
-from repro.encoding.trace_extractor import segment_carry
-from repro.encoding.verdict_enumerator import (
-    DEFAULT_TRACE_BUDGET,
-    enumerate_segment_outcomes,
-)
+from repro.distributed.segmentation import Segment
+from repro.encoding.verdict_enumerator import DEFAULT_TRACE_BUDGET
+# Unused here; bound so the per-layer tracer (perfbench/layertrace.py) finds it.
+from repro.encoding.verdict_enumerator import enumerate_segment_outcomes  # noqa: F401
 from repro.errors import MonitorError, PreemptedError
-from repro.mtl.ast import FALSE_ID, TRUE_ID, Formula, formula_of
-from repro.monitor.verdicts import MonitorResult, SegmentReport
+from repro.mtl.ast import Formula
+from repro.monitor.smt_monitor import PipelineState, SmtMonitor
+from repro.monitor.verdicts import MonitorResult
 from repro.progression.budget import Budget
 from repro.progression.progressor import close
 
@@ -38,7 +38,12 @@ SNAPSHOT_VERSION = 2
 
 
 class OnlineMonitor:
-    """Incremental monitor over a live, partially synchronous event feed."""
+    """Incremental monitor over a live, partially synchronous event feed.
+
+    A streaming loop over :meth:`SmtMonitor.fold_segment`: each advance
+    turns the buffered events below the boundary into one segment and
+    folds it into the carried :class:`PipelineState`.
+    """
 
     def __init__(
         self,
@@ -51,16 +56,17 @@ class OnlineMonitor:
         self._epsilon = epsilon
         self._max_traces = max_traces_per_segment
         self._backend = backend
+        self._engine = SmtMonitor(
+            formula,
+            max_traces_per_segment=max_traces_per_segment,
+            backend=backend,
+            saturate=False,
+        )
         self._buffer: list[tuple[str, int, frozenset[str], Mapping[str, float] | None]] = []
-        self._carried: dict[Formula, int] = {formula: 1}
-        self._anchor: int | None = None
+        self._state = self._engine.initial_state()
         self._frontier = 0  # everything strictly below is already consumed
-        self._first_segment_done = False
-        self._base_valuation: dict[str, float] = {}
-        self._frontier_props: dict[str, frozenset[str]] = {}
         self._result = MonitorResult(formula)
         self._finished = False
-        self._segment_counter = 0
         self._events_consumed = 0
 
     @property
@@ -167,56 +173,26 @@ class OnlineMonitor:
         ready.sort(key=lambda e: (e[1], e[0]))
         for process, local_time, props, deltas in ready:
             computation.add_event(process, local_time, props, deltas)
-        hb = computation.happened_before()
-        outcome = enumerate_segment_outcomes(
-            hb,
+        segment = Segment(
+            len(self._result.segment_reports),
+            self._frontier,
+            boundary,
+            tuple(computation.events),
+            (),
+        )
+        # The first segment is anchored at its first observation (no
+        # lower clamp); later ones start at the previous boundary.
+        clamp_lo = None if self._state.anchor is None else self._frontier
+        self._state = self._engine.fold_segment(
+            computation.happened_before(),
+            segment,
+            clamp_lo,
+            boundary,
+            self._state,
+            self._result,
             self._epsilon,
-            self._carried,
-            self._anchor,
-            boundary=boundary,
-            clamp_lo=None if not self._first_segment_done else self._frontier,
-            clamp_hi=boundary,
-            max_traces=self._max_traces,
-            backend=self._backend,
-            base_valuation=self._base_valuation,
-            frontier_props=self._frontier_props,
-            budget=budget,
-        )
-        if outcome.preempted:
-            # Raise before any state mutation: the caller rolls the buffer
-            # back and the stream stays exactly where it was.
-            raise PreemptedError(
-                f"segment at boundary {boundary} preempted after "
-                f"{outcome.traces_enumerated} traces"
-            )
-        if outcome.truncated:
-            self._result.exhaustive = False
-        self._result.segment_reports.append(
-            SegmentReport(
-                index=self._segment_counter,
-                events=len(ready),
-                traces_enumerated=outcome.traces_enumerated,
-                distinct_residuals=outcome.distinct,
-                truncated=outcome.truncated,
-            )
-        )
-        self._segment_counter += 1
-        self._first_segment_done = True
-        # Classify on the id column (constants have fixed sentinel ids);
-        # undecided residuals materialize into the carried dict, which is
-        # the snapshot wire format — arena ids never cross processes.
-        carried: dict[Formula, int] = {}
-        for fid, count in outcome.id_counts().items():
-            if fid == TRUE_ID:
-                self._result.record(True, count)
-            elif fid == FALSE_ID:
-                self._result.record(False, count)
-            else:
-                carried[formula_of(fid)] = count
-        self._carried = carried
-        self._anchor = boundary
-        self._base_valuation, self._frontier_props = segment_carry(
-            computation.events, self._base_valuation, self._frontier_props
+            False,
+            budget,
         )
 
     # -- migration -----------------------------------------------------------------
@@ -234,6 +210,7 @@ class OnlineMonitor:
         (where serialization copies it); a caller restoring *in the same
         process* must stop using the origin instance afterwards.
         """
+        state = self._state
         return {
             "version": SNAPSHOT_VERSION,
             "formula": self._formula,
@@ -241,15 +218,15 @@ class OnlineMonitor:
             "max_traces": self._max_traces,
             "backend": self._backend,
             "buffer": list(self._buffer),
-            "carried": dict(self._carried),
-            "anchor": self._anchor,
+            "carried": dict(state.carried),
+            "anchor": state.anchor,
             "frontier": self._frontier,
-            "first_segment_done": self._first_segment_done,
-            "base_valuation": dict(self._base_valuation),
-            "frontier_props": dict(self._frontier_props),
+            "first_segment_done": state.anchor is not None,
+            "base_valuation": dict(state.base_valuation),
+            "frontier_props": dict(state.frontier),
             "result": self._result,
             "finished": self._finished,
-            "segment_counter": self._segment_counter,
+            "segment_counter": len(self._result.segment_reports),
             "events_consumed": self._events_consumed,
         }
 
@@ -277,15 +254,15 @@ class OnlineMonitor:
             backend=snapshot["backend"],
         )
         monitor._buffer = list(snapshot["buffer"])
-        monitor._carried = dict(snapshot["carried"])
-        monitor._anchor = snapshot["anchor"]
+        monitor._state = PipelineState(
+            carried=dict(snapshot["carried"]),
+            anchor=snapshot["anchor"],
+            base_valuation=dict(snapshot["base_valuation"]),
+            frontier=dict(snapshot["frontier_props"]),
+        )
         monitor._frontier = snapshot["frontier"]
-        monitor._first_segment_done = snapshot["first_segment_done"]
-        monitor._base_valuation = dict(snapshot["base_valuation"])
-        monitor._frontier_props = dict(snapshot["frontier_props"])
         monitor._result = snapshot["result"]
         monitor._finished = snapshot["finished"]
-        monitor._segment_counter = snapshot["segment_counter"]
         monitor._events_consumed = snapshot["events_consumed"]
         return monitor
 
@@ -299,7 +276,7 @@ class OnlineMonitor:
     @property
     def undecided_residuals(self) -> int:
         """Distinct residual formulas still carried."""
-        return len(self._carried)
+        return len(self._state.carried)
 
     @property
     def events_consumed(self) -> int:
@@ -336,8 +313,8 @@ class OnlineMonitor:
             last_time = max(e[1] for e in self._buffer)
             epsilon_pad = self._epsilon  # allow skew-shifted timestamps
             self.advance_to(last_time + epsilon_pad, budget=budget)
-        for residual, count in self._carried.items():
+        for residual, count in self._state.carried.items():
             self._result.record(close(residual), count)
-        self._carried = {}
+        self._state.carried = {}
         self._finished = True
         return self._result

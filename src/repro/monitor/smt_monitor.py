@@ -16,10 +16,9 @@ concatenate monotonically — the trade-off Section V-C motivates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.distributed.computation import DistributedComputation
-from repro.distributed.hb import HappenedBefore
+from repro.distributed.hb import HappenedBefore, HappenedBeforeView
 from repro.distributed.segmentation import Segment, segment_computation
 from repro.encoding.trace_extractor import segment_carry
 from repro.encoding.verdict_enumerator import (
@@ -171,31 +170,66 @@ class SmtMonitor:
         epsilon: int,
         budget: Budget | None = None,
     ) -> PipelineState:
-        """Consume ``segments[order]``: enumerate its traces, progress every
-        carried residual, record decided verdicts into ``result``, and
-        return the state carried into the next segment.
-
-        Preemption (``budget`` tripping) appends a ``preempted`` segment
-        report and raises :class:`PreemptedError` *without* returning a
-        new state — the fold aborts, nothing is committed."""
+        """Consume ``segments[order]`` of a complete computation: pick the
+        segment's happened-before view, its first/last clamps and whether
+        the final segment saturates, then :meth:`fold_segment` it."""
         segment = segments[order]
-        is_first = order == 0
         is_last = order == len(segments) - 1
         index_map = hb.index_map()
-        indices = [index_map[e.key] for e in segment.events]
-        view = hb.restricted_to(indices)
-        clamp_lo = None if is_first else segment.lo
-        clamp_hi = None if is_last else segment.hi
-        saturate_final = self._saturate and is_last
+        view = hb.restricted_to([index_map[e.key] for e in segment.events])
+        return self.fold_segment(
+            view,
+            segment,
+            None if order == 0 else segment.lo,
+            None if is_last else segment.hi,
+            state,
+            result,
+            epsilon,
+            self._saturate and is_last,
+            budget,
+        )
+
+    def fold_segment(
+        self,
+        view: HappenedBefore | HappenedBeforeView,
+        segment: Segment,
+        clamp_lo: int | None,
+        clamp_hi: int | None,
+        state: PipelineState,
+        result: MonitorResult,
+        epsilon: int,
+        saturate_final: bool,
+        budget: Budget | None = None,
+    ) -> PipelineState:
+        """The segment fold: enumerate ``segment``'s traces under ``view``
+        (its happened-before topology), progress every carried residual,
+        record decided verdicts and the segment report into ``result``,
+        and return the state carried into the next segment, anchored at
+        ``segment.hi``.  :meth:`step` drives it offline,
+        :class:`~repro.monitor.online.OnlineMonitor` once per advance.
+
+        Preemption (``budget`` tripping) raises :class:`PreemptedError`
+        before anything is recorded: ``result`` and ``state`` are left
+        exactly as they were, so a retry is bit-identical."""
+        shared = dict(
+            boundary=segment.hi,
+            clamp_lo=clamp_lo,
+            clamp_hi=clamp_hi,
+            max_traces=self._max_traces,
+            backend=self._backend,
+            base_valuation=state.base_valuation,
+            frontier_props=state.frontier,
+            timestamp_samples=self._timestamp_samples,
+            budget=budget,
+        )
+        outcome = None
         # The saturation and max_distinct early-stops depend on the serial
         # enumeration order, so those segments keep the serial walk.
-        partitioned = (
+        if (
             self._partition_submit is not None
-            and self._backend == "dfs"
             and not saturate_final
             and self._max_distinct is None
-        )
-        if partitioned:
+        ):
             outcome = partitioned_segment_outcomes(
                 self._partition_submit,
                 self._partition_parts,
@@ -203,17 +237,9 @@ class SmtMonitor:
                 epsilon,
                 state.carried,
                 state.anchor,
-                boundary=segment.hi,
-                clamp_lo=clamp_lo,
-                clamp_hi=clamp_hi,
-                max_traces=self._max_traces,
-                backend=self._backend,
-                base_valuation=state.base_valuation,
-                frontier_props=state.frontier,
-                timestamp_samples=self._timestamp_samples,
-                budget=budget,
+                **shared,
             )
-        else:
+        if outcome is None:
             cache_key = None
             if self._cache_traces:
                 cache_key = self._segment_cache_key(
@@ -224,40 +250,17 @@ class SmtMonitor:
                 epsilon,
                 state.carried,
                 state.anchor,
-                boundary=segment.hi,
-                clamp_lo=clamp_lo,
-                clamp_hi=clamp_hi,
-                max_traces=self._max_traces,
                 max_distinct=self._max_distinct,
-                backend=self._backend,
-                base_valuation=state.base_valuation,
-                frontier_props=state.frontier,
                 saturate_final=saturate_final,
-                timestamp_samples=self._timestamp_samples,
                 cache_key=cache_key,
-                budget=budget,
+                **shared,
             )
         if outcome.preempted:
-            result.exhaustive = False
-            result.verdict_set_complete = False
-            result.segment_reports.append(
-                SegmentReport(
-                    index=segment.index,
-                    events=len(segment.events),
-                    traces_enumerated=outcome.traces_enumerated,
-                    distinct_residuals=outcome.distinct,
-                    truncated=outcome.truncated,
-                    preempted=True,
-                )
-            )
             raise PreemptedError(
                 f"segment {segment.index} preempted after "
                 f"{outcome.traces_enumerated} traces"
             )
-        if outcome.truncated:
-            result.exhaustive = False
-            result.verdict_set_complete = False
-        if self._timestamp_samples is not None:
+        if outcome.truncated or self._timestamp_samples is not None:
             result.exhaustive = False
             result.verdict_set_complete = False
         if outcome.saturated:
@@ -276,7 +279,7 @@ class SmtMonitor:
         # Classify on the outcome's id column: the constants' arena ids
         # are fixed sentinels, and ids are canonical per structure, so
         # undecided residuals materialize straight into the carried dict
-        # (no merging needed) for the pickled/sharded boundary contract.
+        # (no merging needed) — the pickled shard and snapshot contract.
         carried: dict[Formula, int] = {}
         for fid, count in outcome.id_counts().items():
             if fid == TRUE_ID:
@@ -297,7 +300,7 @@ class SmtMonitor:
 
     def _segment_cache_key(
         self,
-        view,
+        view: HappenedBefore | HappenedBeforeView,
         segment: Segment,
         state: PipelineState,
         epsilon: int,

@@ -1,7 +1,7 @@
 """Cooperative execution budgets for the monitor engines (preemption).
 
 A :class:`Budget` is the one object threaded through the engine core —
-``enumerate_traces`` → ``stream_segment_outcomes`` →
+``enumerate_traces`` → ``enumerate_segment_outcomes`` →
 ``TraceProgressor``/``ColumnarSegmentProgressor`` →
 ``OnlineMonitor``/``SmtMonitor`` — that lets a *running* computation be
 interrupted.  Three facets share it:

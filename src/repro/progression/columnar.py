@@ -28,7 +28,8 @@ over the intern arena (:data:`repro.mtl.ast.ARENA`):
   (:func:`~repro.mtl.ast.id_land` and friends), which mirror the object
   constructors' simplifications exactly — so the two paths produce
   bit-identical residual structures (the differential suite asserts
-  this; ``REPRO_COLUMNAR=0`` selects the object path).
+  this against the object walk,
+  :class:`~repro.progression.progressor.ObjectSegmentProgressor`).
 
 No :class:`~repro.mtl.ast.Formula` objects are touched anywhere in the
 loop; :func:`~repro.mtl.ast.formula_of` materializes results only at
@@ -81,7 +82,7 @@ __all__ = [
 #
 # Plans depend only on the shifted root ids and the (append-only) arena, so
 # they are valid process-wide, not just for the one progressor instance that
-# compiled them.  Successive ``stream_segment_outcomes`` calls on the same
+# compiled them.  Successive ``enumerate_segment_outcomes`` calls on the same
 # stream build a fresh progressor per segment but carry structurally
 # recurring residual sets — keying by ``(root ids, shift)`` lets segment k+1
 # reuse segment k's compilations instead of recompiling identical plans.

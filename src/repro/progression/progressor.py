@@ -209,6 +209,36 @@ class TraceProgressor:
         return lor(*disjuncts) if disjuncts else FALSE
 
 
+class ObjectSegmentProgressor:
+    """The object walk behind the columnar kernel's interface.
+
+    Same constructor and ``progress_trace`` contract as
+    :class:`~repro.progression.columnar.ColumnarSegmentProgressor`: one
+    anchor-shift of the carried column per distinct shift, one
+    :class:`TraceProgressor` per trace.  The differential suites and the
+    hot-path benchmark swap it in for the kernel as the oracle; no
+    runtime path selects it.
+    """
+
+    def __init__(self, pairs: list[tuple[int, int]]) -> None:
+        self._pairs = pairs
+        self._shifted: dict[int, list[tuple[Formula, int]]] = {}
+
+    def progress_trace(
+        self, trace: TimedTrace, shift: int, boundary: int, budget=None
+    ) -> list[tuple[int, int]]:
+        shifted = self._shifted.get(shift)
+        if shifted is None:
+            shifted = self._shifted[shift] = [
+                (anchor_shift(formula_of(fid), shift), count) for fid, count in self._pairs
+            ]
+        progressor = TraceProgressor(trace, boundary, budget=budget)
+        return [
+            (progressor.progress(formula, 0)._intern_id, count)
+            for formula, count in shifted
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Residual-formula plumbing used by the monitor.
 # ---------------------------------------------------------------------------

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
 
 from repro.distributed.computation import DistributedComputation
+from repro.encoding import verdict_enumerator
 from repro.mtl import ast
 from repro.mtl.interval import INF, Interval
 from repro.mtl.trace import State, TimedTrace
+from repro.progression.progressor import ObjectSegmentProgressor
 
 # ---------------------------------------------------------------------------
 # Hypothesis strategies
@@ -103,6 +106,35 @@ def small_computations() -> st.SearchStrategy[DistributedComputation]:
         st.integers(min_value=1, max_value=3),
         st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Progression oracle
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def object_walk():
+    """Progress segments with the object-walk oracle instead of the
+    columnar kernel for the enclosed block (in this process).
+
+    Yields a list that grows by one entry per oracle ``progress_trace``
+    call, so a differential can assert the oracle really ran instead of
+    silently comparing the kernel with itself.
+    """
+    calls: list[None] = []
+
+    class CountingOracle(ObjectSegmentProgressor):
+        def progress_trace(self, *args, **kwargs):
+            calls.append(None)
+            return super().progress_trace(*args, **kwargs)
+
+    kernel = verdict_enumerator.ColumnarSegmentProgressor
+    verdict_enumerator.ColumnarSegmentProgressor = CountingOracle
+    try:
+        yield calls
+    finally:
+        verdict_enumerator.ColumnarSegmentProgressor = kernel
 
 
 # ---------------------------------------------------------------------------

@@ -81,67 +81,17 @@ class TestOutcomes:
 
 
 class TestStreaming:
-    """The generator-driven pipeline behind ``enumerate_segment_outcomes``."""
-
-    def test_stream_yields_per_trace_and_settles(self):
-        from repro.encoding.verdict_enumerator import stream_segment_outcomes
-
-        comp = fig3()
-        spec = parse("a U[0,6) b")
-        snapshots = list(
-            stream_segment_outcomes(
-                comp.happened_before(), comp.epsilon, {spec: 1}, None, boundary=7
-            )
-        )
-        # One yield per trace plus the settled final snapshot, all the
-        # same mutating outcome instance.
-        final = snapshots[-1]
-        assert len(snapshots) == final.traces_enumerated + 1
-        assert all(s is final for s in snapshots)
-        drained = enumerate_segment_outcomes(
-            comp.happened_before(), comp.epsilon, {spec: 1}, None, boundary=7
-        )
-        assert final.residuals == drained.residuals
-        assert final.traces_enumerated == drained.traces_enumerated == 130
-
-    def test_stream_counts_grow_monotonically(self):
-        from repro.encoding.verdict_enumerator import stream_segment_outcomes
-
-        comp = fig3()
-        spec = parse("F[0,8) b")
-        seen = 0
-        for outcome in stream_segment_outcomes(
-            comp.happened_before(), comp.epsilon, {spec: 1}, None, boundary=7
-        ):
-            assert outcome.traces_enumerated >= seen
-            seen = outcome.traces_enumerated
-            assert sum(outcome.residuals.values()) <= outcome.traces_enumerated
-
-    def test_abandoning_the_stream_stops_enumeration(self):
-        from repro.encoding.verdict_enumerator import stream_segment_outcomes
-
-        comp = fig3()
-        spec = parse("a U[0,6) b")
-        stream = stream_segment_outcomes(
-            comp.happened_before(), comp.epsilon, {spec: 1}, None, boundary=7
-        )
-        first = next(stream)
-        assert first.traces_enumerated == 1
-        stream.close()  # must not raise; enumeration is abandoned mid-way
+    """The lazy trace stream behind ``enumerate_segment_outcomes``."""
 
     def test_stream_honours_truncation_flags(self):
-        from repro.encoding.verdict_enumerator import stream_segment_outcomes
-
         comp = fig3()
-        spec = parse("a U[0,6) b")
-        final = None
-        for final in stream_segment_outcomes(
-            comp.happened_before(), comp.epsilon, {spec: 1}, None, boundary=7,
-            max_traces=5,
-        ):
-            pass
-        assert final.truncated
-        assert final.traces_enumerated == 5
+        outcome = enumerate_segment_outcomes(
+            comp.happened_before(), comp.epsilon, {parse("a U[0,6) b"): 1}, None,
+            boundary=7, max_traces=5,
+        )
+        assert outcome.truncated
+        assert outcome.traces_enumerated == 5
+        assert sum(outcome.residuals.values()) == 5
 
     def test_structurally_equal_carried_keys_merge(self):
         """Two structurally equal (but distinct-object) carried keys are

@@ -9,11 +9,13 @@ encoding) are likewise cross-checked.
 
 from __future__ import annotations
 
-import os
 import pickle
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.distributed.segmentation import segment_computation
 
 from repro.monitor.baseline import EnumerationMonitor
 from repro.monitor.fast import FastMonitor
@@ -22,7 +24,7 @@ from repro.monitor.smt_monitor import SmtMonitor
 from repro.monitor.verdicts import MonitorResult
 from repro.progression.progressor import close
 
-from tests.conftest import formulas, small_computations
+from tests.conftest import formulas, object_walk, small_computations
 from tests.mtl.test_interning import structural_clone
 
 _SETTINGS = dict(
@@ -80,29 +82,26 @@ def test_saturation_is_lossless_for_the_verdict_set(computation, formula):
     assert saturated.verdict_set_complete
 
 
-# -- columnar <-> object path ----------------------------------------------------
+# -- columnar kernel <-> object-walk oracle -------------------------------------------
 
 
-@contextmanager
-def _columnar(enabled: bool):
-    """Select the progression engine for the enclosed workload."""
-    previous = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = previous
+def _oracle(enabled: bool):
+    """The object-walk oracle when ``enabled``, else the shipping kernel;
+    either way the block yields the list of oracle calls."""
+    return object_walk() if enabled else nullcontext([])
+
+
+def _traces(reports) -> int:
+    return sum(report.traces_enumerated for report in reports)
 
 
 def _pipeline_trajectory(formula, computation, segments):
-    """Verdict counts plus the carried residual dict after *every* segment.
+    """Verdict counts plus the carried residual dict after *every* segment,
+    and the traces the fold progressed.
 
     Drives the resumable ``step`` API directly so the intermediate
     carried sets — not just the final verdicts — are comparable between
-    the columnar kernel and the legacy object walk.
+    the columnar kernel and the object-walk oracle.
     """
     engine = SmtMonitor(formula, segments=segments, saturate=False)
     result = MonitorResult(formula)
@@ -117,24 +116,25 @@ def _pipeline_trajectory(formula, computation, segments):
         carried_per_segment.append(dict(state.carried))
     for residual, count in state.carried.items():
         result.record(close(residual), count)
-    return result.verdict_counts, carried_per_segment
+    return result.verdict_counts, carried_per_segment, _traces(result.segment_reports)
 
 
 @given(computation=small_computations(), formula=formulas(max_depth=2))
 @settings(max_examples=30, **_SETTINGS)
 def test_columnar_equals_object_path(computation, formula):
-    """The columnar kernel and the legacy object walk are bit-identical:
+    """The columnar kernel and the object-walk oracle are bit-identical:
     same verdict multisets AND same carried residual dicts at every
     segment boundary, serial and segmented."""
     for segments in (1, 3):
-        with _columnar(True):
-            col_counts, col_carried = _pipeline_trajectory(
+        col_counts, col_carried, _ = _pipeline_trajectory(
+            formula, computation, segments
+        )
+        with object_walk() as calls:
+            obj_counts, obj_carried, traces = _pipeline_trajectory(
                 formula, computation, segments
             )
-        with _columnar(False):
-            obj_counts, obj_carried = _pipeline_trajectory(
-                formula, computation, segments
-            )
+        # Vacuity guard: every trace went through the oracle, not the kernel.
+        assert len(calls) == traces > 0
         assert col_counts == obj_counts
         assert col_carried == obj_carried
 
@@ -143,32 +143,84 @@ def test_columnar_equals_object_path(computation, formula):
 @settings(max_examples=15, **_SETTINGS)
 def test_columnar_snapshot_restores_onto_object_path(computation, formula):
     """A session snapshot taken mid-stream under the columnar kernel
-    restores and finishes bit-identically under the object path (and
-    vice versa): the snapshot wire format carries materialized formulas,
-    never arena ids."""
+    restores and finishes bit-identically under the object-walk oracle
+    (and vice versa): the snapshot wire format carries materialized
+    formulas, never arena ids."""
     events = sorted(computation.events, key=lambda e: (e.local_time, e.process, e.seq))
     if len(events) < 2:
         return
     cut = events[len(events) // 2].local_time + 1
     epsilon = computation.epsilon
 
-    def run_split(first_columnar: bool, second_columnar: bool):
-        with _columnar(first_columnar):
+    def run_split(first_oracle: bool, second_oracle: bool):
+        with _oracle(first_oracle) as first_calls:
             origin = OnlineMonitor(formula, epsilon)
             for event in events:
                 if event.local_time < cut:
                     origin.observe(event.process, event.local_time, event.props)
             origin.advance_to(cut)
             snapshot = pickle.loads(pickle.dumps(origin.snapshot()))
-        with _columnar(second_columnar):
+        split = len(snapshot["result"].segment_reports)
+        with _oracle(second_oracle) as second_calls:
             restored = OnlineMonitor.restore(snapshot)
             for event in events:
                 if event.local_time >= cut:
                     restored.observe(event.process, event.local_time, event.props)
-            return restored.finish()
+            result = restored.finish()
+        # Vacuity guard: each oracle phase progressed every trace it enumerated.
+        if first_oracle:
+            assert len(first_calls) == _traces(result.segment_reports[:split]) > 0
+        if second_oracle:
+            assert len(second_calls) == _traces(result.segment_reports[split:])
+        return result
 
-    baseline = run_split(False, False)
-    for flags in ((True, True), (True, False), (False, True)):
+    baseline = run_split(True, True)
+    for flags in ((False, False), (False, True), (True, False)):
         result = run_split(*flags)
         assert result.verdict_counts == baseline.verdict_counts
         assert result.verdicts == baseline.verdicts
+
+
+# -- one fold, offline and online ----------------------------------------------------
+
+
+@given(
+    computation=small_computations(),
+    formula=formulas(max_depth=2),
+    segments=st.sampled_from((2, 3)),
+)
+@settings(max_examples=40, **_SETTINGS)
+def test_online_stream_matches_offline_fold(computation, formula, segments):
+    """An online session advanced at the offline segment boundaries folds
+    exactly the segments ``SmtMonitor`` folds: same verdict multiset, same
+    exactness flags, same events and traces per segment.
+
+    The stream advances at each segment's upper bound up to the last
+    non-empty segment, which ``finish`` consumes; advancing at a trailing
+    empty segment's bound would clamp the final segment, which the
+    offline fold leaves open.  Residual *structure* in the final segment
+    is not compared: its anchor differs (``finish`` pads by epsilon), and
+    anchors disappear when the residuals close.
+    """
+    offline = SmtMonitor(
+        formula, segments=segments, saturate=False, max_traces_per_segment=None
+    ).run(computation)
+    online = OnlineMonitor(formula, computation.epsilon, max_traces_per_segment=None)
+    for event in sorted(computation.events, key=lambda e: (e.local_time, e.process, e.seq)):
+        online.observe(event.process, event.local_time, event.props)
+    chopped = segment_computation(computation, segments)
+    last = max(i for i, segment in enumerate(chopped) if segment.events)
+    for segment in chopped[:last]:
+        online.advance_to(segment.hi)
+    result = online.finish()
+    assert result.verdict_counts == offline.verdict_counts
+    assert result.exhaustive == offline.exhaustive
+    assert result.verdict_set_complete == offline.verdict_set_complete
+
+    def shape(reports):
+        return [(report.events, report.traces_enumerated) for report in reports]
+
+    # The offline fold stops once nothing is carried; the stream keeps going.
+    assert shape(result.segment_reports)[: len(offline.segment_reports)] == shape(
+        offline.segment_reports
+    )

@@ -277,3 +277,44 @@ class TestSnapshotRestore:
         snapshot["version"] = 99
         with pytest.raises(MonitorError, match="version 99"):
             OnlineMonitor.restore(snapshot)
+
+
+#: A computation whose single segment has far more than five admissible
+#: traces: two processes, six events each, epsilon 3.
+TRUNCATING_SPEC = parse("G(a -> F[0,30) b)")
+TRUNCATING_EVENTS = [
+    (process, 2 * i + offset, "a" if i % 2 else "b")
+    for process, offset in (("P1", 0), ("P2", 1))
+    for i in range(6)
+]
+
+
+def _truncating_computation() -> DistributedComputation:
+    lists: dict = {}
+    for process, t, props in TRUNCATING_EVENTS:
+        lists.setdefault(process, []).append((t, props))
+    return DistributedComputation.from_event_lists(3, lists)
+
+
+class TestTruncation:
+    """A trace budget that stops enumeration leaves the verdict *set*
+    unproven: the online monitor must say so, like the offline fold."""
+
+    def _assert_incomplete(self, result) -> None:
+        assert result.truncated
+        assert not result.exhaustive
+        assert not result.verdict_set_complete
+
+    def test_run_reports_incomplete_verdict_set(self):
+        computation = _truncating_computation()
+        offline = SmtMonitor(TRUNCATING_SPEC, max_traces_per_segment=5).run(computation)
+        self._assert_incomplete(offline)
+        online = OnlineMonitor(TRUNCATING_SPEC, epsilon=3, max_traces_per_segment=5)
+        self._assert_incomplete(online.run(computation))
+
+    def test_finish_after_advance_reports_incomplete_verdict_set(self):
+        monitor = OnlineMonitor(TRUNCATING_SPEC, epsilon=3, max_traces_per_segment=5)
+        for process, t, props in sorted(TRUNCATING_EVENTS, key=lambda e: e[1]):
+            monitor.observe(process, t, props)
+        monitor.advance_to(6)
+        self._assert_incomplete(monitor.finish())

@@ -5,8 +5,8 @@ raises a typed :class:`~repro.errors.PreemptedError` and leaves the
 monitor in its pre-call state (the advance buffer rolls back), so
 retrying the same call and finishing yields verdicts bit-identical to a
 never-interrupted run.  That must hold across both residual engines
-(columnar and object paths) and both transports (in-process workers and
-TCP agents), and a worker whose running request is dropped must unwind
+(the columnar kernel and the object-walk oracle) and both transports
+(in-process workers and TCP agents), and a worker whose running request is dropped must unwind
 within one checkpoint interval instead of burning to completion.
 """
 
@@ -16,6 +16,7 @@ import functools
 import random
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -28,14 +29,22 @@ from repro.progression.budget import Budget
 from repro.service import MonitorService
 from repro.transport.agent import spawn_agent
 
+from tests.conftest import object_walk
+
 SPEC = parse("G[0,40) (a -> F[0,6) b)")
 EPSILON = 4
 BOUNDARY = 8
 
 ENGINES = [
-    pytest.param("1", id="columnar"),
-    pytest.param("0", id="object"),
+    pytest.param(False, id="columnar"),
+    pytest.param(True, id="object"),
 ]
+
+
+def _engine(oracle: bool):
+    """The object-walk oracle when ``oracle``, else the columnar kernel;
+    yields the oracle's call log (empty for the kernel)."""
+    return object_walk() if oracle else nullcontext([])
 
 
 def _events(seed: int) -> list[tuple[str, int, frozenset[str]]]:
@@ -77,33 +86,36 @@ def _counting_cancel_budget(after_checkpoints: int) -> Budget:
 
 
 class TestEngineLevelDifferential:
-    """Random-checkpoint preemption, columnar vs object engines."""
+    """Random-checkpoint preemption, columnar kernel vs object-walk oracle."""
 
-    @pytest.mark.parametrize("columnar", ENGINES)
-    def test_preempt_retry_is_bit_identical(self, columnar, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", columnar)
+    @pytest.mark.parametrize("oracle", ENGINES)
+    def test_preempt_retry_is_bit_identical(self, oracle):
         rng = random.Random(20260808)
         preempted = 0
-        for seed in range(4):
-            monitor = OnlineMonitor(SPEC, EPSILON)
-            for process, t, props in _events(seed):
-                monitor.observe(process, t, props)
-            budget = _counting_cancel_budget(rng.randint(1, 60))
-            try:
-                monitor.advance_to(BOUNDARY, budget=budget)
-            except PreemptedError:
-                preempted += 1
-                monitor.advance_to(BOUNDARY)  # post-restore retry
-            result = monitor.finish()
+        results = []
+        with _engine(oracle) as calls:
+            for seed in range(4):
+                monitor = OnlineMonitor(SPEC, EPSILON)
+                for process, t, props in _events(seed):
+                    monitor.observe(process, t, props)
+                budget = _counting_cancel_budget(rng.randint(1, 60))
+                try:
+                    monitor.advance_to(BOUNDARY, budget=budget)
+                except PreemptedError:
+                    preempted += 1
+                    monitor.advance_to(BOUNDARY)  # post-restore retry
+                results.append(monitor.finish())
+        # The references run on the kernel, outside the engine swap.
+        assert bool(calls) == oracle
+        for seed, result in enumerate(results):
             reference = _reference(seed)
             assert result.verdict_counts == reference.verdict_counts, f"seed {seed}"
             assert result.verdicts == reference.verdicts
         # The suite is vacuous if the scripted cancels never fire.
         assert preempted >= 2
 
-    @pytest.mark.parametrize("columnar", ENGINES)
-    def test_preempted_run_reports_the_flag(self, columnar, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", columnar)
+    @pytest.mark.parametrize("oracle", ENGINES)
+    def test_preempted_run_reports_the_flag(self, oracle):
         computation = DistributedComputation.from_event_lists(
             3,
             {
@@ -113,8 +125,11 @@ class TestEngineLevelDifferential:
             },
         )
         engine = SmtMonitor(SPEC, saturate=False)
-        with pytest.raises(PreemptedError, match="preempted after"):
-            engine.run(computation, budget=_counting_cancel_budget(5))
+        # Late enough that traces reach the progressor before the cancel.
+        with _engine(oracle) as calls:
+            with pytest.raises(PreemptedError, match="preempted after"):
+                engine.run(computation, budget=_counting_cancel_budget(200))
+        assert bool(calls) == oracle
 
     def test_preempted_is_distinct_from_truncated(self):
         # max_traces is the truncation facet: it never raises, it flags.

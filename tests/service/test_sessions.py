@@ -334,3 +334,26 @@ class TestBufferedEventLoss:
             status = session.poll()
             assert status.pending == 1  # the event crossed with the snapshot
             assert session.finish().definitely_satisfied
+
+
+class TestTruncatedSession:
+    def test_finish_reports_incomplete_verdict_set(self):
+        """A truncated session's verdict set is not proven complete, and
+        that flag survives the worker's finish acknowledgement."""
+        spec = parse("G(a -> F[0,30) b)")
+        events = sorted(
+            (
+                (process, 2 * i + offset, "a" if i % 2 else "b")
+                for process, offset in (("P1", 0), ("P2", 1))
+                for i in range(6)
+            ),
+            key=lambda e: e[1],
+        )
+        with MonitorService(workers=1) as service:
+            session = service.open_session(spec, epsilon=3, max_traces_per_segment=5)
+            for process, t, props in events:
+                session.observe(process, t, props)
+            result = session.finish()
+        assert result.truncated
+        assert not result.exhaustive
+        assert not result.verdict_set_complete
